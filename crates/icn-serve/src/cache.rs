@@ -119,6 +119,19 @@ impl ResultCache {
         None
     }
 
+    /// Read a body back by content key — memory, then the disk spill —
+    /// without counting a hit or miss, refreshing recency, or promoting a
+    /// disk body into memory. This is how a finished job's result is
+    /// served when the spill, not the job table, holds it; `/v1/stats`
+    /// keeps counting only real cache lookups.
+    #[must_use]
+    pub fn peek(&self, key: &str) -> Option<Arc<String>> {
+        if let Some(entry) = self.entries.get(key) {
+            return Some(Arc::clone(&entry.body));
+        }
+        self.spill.as_ref()?.read(key).map(Arc::new)
+    }
+
     /// Store a body under its content key, evicting the least-recently-used
     /// memory entry if full, and writing through to the disk spill when one
     /// is attached. Re-inserting an existing key refreshes its body and
@@ -255,6 +268,22 @@ mod tests {
         // Promotion put "a" back in memory (displacing "b" in memory only).
         assert_eq!(c.get("a").unwrap().as_str(), "first");
         assert_eq!(c.stats().disk_hits, 1, "second hit served from memory");
+    }
+
+    #[test]
+    fn peek_reads_memory_and_disk_without_side_effects() {
+        let mut c = ResultCache::with_spill(1, spill("peek"));
+        c.insert("a", body("first"));
+        c.insert("b", body("second")); // evicts "a" from memory
+        let before = c.stats();
+        assert_eq!(c.peek("b").unwrap().as_str(), "second");
+        assert_eq!(c.peek("a").unwrap().as_str(), "first");
+        assert!(c.peek("missing").is_none());
+        assert_eq!(c.stats(), before, "no counter moved");
+        // "a" was not promoted: "b" is still the memory entry, so the next
+        // lookup of "a" is a disk hit.
+        assert_eq!(c.get("a").unwrap().as_str(), "first");
+        assert_eq!(c.stats().disk_hits, before.disk_hits + 1);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! is survived via [`PoisonError::into_inner`]: a panicking worker must not
 //! take the whole service down with it.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -55,8 +55,8 @@ pub enum JobPayload {
 pub const DEFAULT_MEAN_SERVICE_US: u64 = 500_000;
 
 /// Terminal jobs kept in memory for status lookups; older ones are pruned
-/// so an unattended server's job table stays bounded. (Their *results*
-/// outlive pruning in the content-addressed cache.)
+/// (lowest id first) so an unattended server's job table stays bounded.
+/// (Their *results* outlive pruning in the content-addressed cache.)
 pub const RETAINED_FINISHED_JOBS: usize = 4096;
 
 /// Lifecycle of one job.
@@ -96,7 +96,9 @@ pub struct JobSnapshot {
     pub state: JobState,
     /// Admission priority.
     pub priority: Priority,
-    /// The serialized result body (`Some` once [`JobState::Done`]).
+    /// The serialized result body: `Some` once [`JobState::Done`], unless
+    /// the queue was built with [`JobQueue::spilled`] — then the body is
+    /// read back from the result cache by [`JobSnapshot::key`].
     pub result: Option<Arc<String>>,
     /// The failure message (`Some` once [`JobState::Failed`]).
     pub error: Option<String>,
@@ -194,7 +196,9 @@ pub struct JobRecord {
     /// Canonical configuration JSON.
     pub canonical: Arc<String>,
     /// Terminal outcome (`None` = still pending, must be re-journaled).
-    pub outcome: Option<Result<Arc<String>, String>>,
+    /// A done job's body is `None` when the spill owns it
+    /// ([`JobQueue::spilled`]).
+    pub outcome: Option<Result<Option<Arc<String>>, String>>,
 }
 
 #[derive(Debug)]
@@ -202,6 +206,9 @@ struct Inner {
     /// One FIFO per band, drained high-to-low.
     bands: [VecDeque<u64>; 3],
     jobs: BTreeMap<u64, Job>,
+    /// Ids of the jobs pruning may drop: terminal ones and aliases. Kept
+    /// beside `jobs` so a completion prunes without scanning the table.
+    prunable: BTreeSet<u64>,
     /// Content key → job id, for jobs that are queued or running. Entries
     /// leave this map when the job finishes (later identical requests are
     /// then served from the result cache, not coalesced).
@@ -240,6 +247,9 @@ struct Job {
 #[derive(Debug)]
 pub struct JobQueue {
     capacity: usize,
+    /// Whether finished jobs keep their result body (see
+    /// [`JobQueue::spilled`]).
+    keep_bodies: bool,
     inner: Mutex<Inner>,
     work_ready: Condvar,
 }
@@ -284,9 +294,11 @@ impl JobQueue {
     pub fn with_recovered(capacity: usize, next_id: u64) -> Self {
         Self {
             capacity,
+            keep_bodies: true,
             inner: Mutex::new(Inner {
                 bands: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
                 jobs: BTreeMap::new(),
+                prunable: BTreeSet::new(),
                 active_by_key: BTreeMap::new(),
                 next_id: next_id.max(1),
                 shutting_down: false,
@@ -300,6 +312,16 @@ impl JobQueue {
             }),
             work_ready: Condvar::new(),
         }
+    }
+
+    /// Keep no result bodies in the job table: a disk spill behind the
+    /// result cache already holds each one under its content key, so a
+    /// finished job records only that it is done and the status endpoints
+    /// read the body back from the cache. Each result is stored once.
+    #[must_use]
+    pub fn spilled(mut self) -> Self {
+        self.keep_bodies = false;
+        self
     }
 
     /// Depth past which `Low`-priority work is shed: 3/4 of capacity, at
@@ -391,20 +413,23 @@ impl JobQueue {
         match job.outcome {
             Some(Ok(body)) => {
                 entry.state = JobState::Done;
-                entry.result = Some(body);
+                entry.result = self.keep_bodies.then_some(body);
                 inner.completed += 1;
                 inner.jobs.insert(job.id, entry);
+                inner.prunable.insert(job.id);
             }
             Some(Err(message)) => {
                 entry.state = JobState::Failed;
                 entry.error = Some(message);
                 inner.failed += 1;
                 inner.jobs.insert(job.id, entry);
+                inner.prunable.insert(job.id);
             }
             None => {
                 if let Some(&earlier) = inner.active_by_key.get(&job.key) {
                     entry.alias_of = Some(earlier);
                     inner.jobs.insert(job.id, entry);
+                    inner.prunable.insert(job.id);
                     return;
                 }
                 entry.deadline = job
@@ -456,6 +481,7 @@ impl JobQueue {
     /// oldest terminal jobs past [`RETAINED_FINISHED_JOBS`].
     pub fn finish(&self, id: u64, outcome: Result<Arc<String>, String>, service_us: u64) {
         let mut inner = lock(&self.inner);
+        let inner = &mut *inner;
         inner.running = inner.running.saturating_sub(1);
         if outcome.is_ok() {
             inner.completed += 1;
@@ -468,31 +494,23 @@ impl JobQueue {
             match outcome {
                 Ok(body) => {
                     job.state = JobState::Done;
-                    job.result = Some(body);
+                    job.result = self.keep_bodies.then_some(body);
                 }
                 Err(message) => {
                     job.state = JobState::Failed;
                     job.error = Some(message);
                 }
             }
-            let key = job.key.clone();
-            if inner.active_by_key.get(&key) == Some(&id) {
-                inner.active_by_key.remove(&key);
+            if inner.active_by_key.get(&job.key) == Some(&id) {
+                inner.active_by_key.remove(&job.key);
             }
+            inner.prunable.insert(id);
         }
         // Bound the job table: drop the oldest terminal entries (their
         // results live on in the content-addressed cache).
-        let terminal: Vec<u64> = inner
-            .jobs
-            .iter()
-            .filter(|(_, j)| {
-                matches!(j.state, JobState::Done | JobState::Failed) || j.alias_of.is_some()
-            })
-            .map(|(&jid, _)| jid)
-            .collect();
-        if terminal.len() > RETAINED_FINISHED_JOBS {
-            for jid in &terminal[..terminal.len() - RETAINED_FINISHED_JOBS] {
-                inner.jobs.remove(jid);
+        while inner.prunable.len() > RETAINED_FINISHED_JOBS {
+            if let Some(oldest) = inner.prunable.pop_first() {
+                inner.jobs.remove(&oldest);
             }
         }
     }
@@ -528,10 +546,7 @@ impl JobQueue {
             .map(|(&id, job)| {
                 let resolved = job.alias_of.and_then(|t| inner.jobs.get(&t)).unwrap_or(job);
                 let outcome = match resolved.state {
-                    JobState::Done => Some(Ok(resolved
-                        .result
-                        .clone()
-                        .unwrap_or_else(|| Arc::new(String::new())))),
+                    JobState::Done => Some(Ok(resolved.result.clone())),
                     JobState::Failed => Some(Err(resolved
                         .error
                         .clone()
@@ -833,8 +848,93 @@ mod tests {
                 .unwrap()
                 .as_ref()
                 .unwrap()
+                .as_ref()
+                .unwrap()
                 .as_str(),
             "{\"r\":1}"
         );
+    }
+
+    #[test]
+    fn spilled_queue_keeps_no_result_bodies() {
+        let q = JobQueue::new(4).spilled();
+        let Enqueue::Enqueued(id) = push(&q, "a", 1, Priority::Normal) else {
+            panic!("expected accept");
+        };
+        let _ = q.take().unwrap();
+        q.finish(id, Ok(Arc::new("{\"r\":1}".into())), 10);
+        let snap = q.snapshot(id).unwrap();
+        assert_eq!((snap.state, snap.key.as_str()), (JobState::Done, "a"));
+        assert!(snap.result.is_none(), "the spill owns the body");
+        q.restore(RestoredJob {
+            id: 9,
+            key: "b".into(),
+            priority: Priority::Normal,
+            deadline_ms: None,
+            canonical: canon(9),
+            payload: None,
+            outcome: Some(Ok(Arc::new("{\"r\":2}".into()))),
+        });
+        assert!(q.snapshot(9).unwrap().result.is_none());
+        let (_, records) = q.journal_view();
+        assert!(records.iter().all(|r| matches!(r.outcome, Some(Ok(None)))));
+    }
+
+    #[test]
+    fn pruning_drops_the_lowest_terminal_ids_first() {
+        let q = JobQueue::new(RETAINED_FINISHED_JOBS + 8);
+        // A pending job below every terminal one is never pruned.
+        let Enqueue::Enqueued(pending) = push(&q, "pending", 0, Priority::Normal) else {
+            panic!("expected accept");
+        };
+        let _ = q.take().unwrap();
+        // Restored terminal jobs and an alias count toward retention too.
+        for (id, outcome) in [
+            (2, Some(Ok(Arc::new("{}".into())))),
+            (3, Some(Err("x".into()))),
+        ] {
+            q.restore(RestoredJob {
+                id,
+                key: format!("r{id}"),
+                priority: Priority::Normal,
+                deadline_ms: None,
+                canonical: canon(id),
+                payload: None,
+                outcome,
+            });
+        }
+        q.restore(RestoredJob {
+            id: 4,
+            key: "pending".into(),
+            priority: Priority::Normal,
+            deadline_ms: None,
+            canonical: canon(0),
+            payload: Some(JobPayload::Simulate(Box::new(config(0)))),
+            outcome: None,
+        });
+        let total = RETAINED_FINISHED_JOBS + 2;
+        let mut last = 0;
+        for n in 0..total {
+            let key = format!("k{n}");
+            let Enqueue::Enqueued(id) = q.enqueue(
+                &key,
+                JobPayload::Simulate(Box::new(config(1))),
+                canon(1),
+                Priority::Normal,
+                None,
+            ) else {
+                panic!("expected accept");
+            };
+            let _ = q.take().unwrap();
+            q.finish(id, Ok(Arc::new("{}".into())), 1);
+            last = id;
+        }
+        // 3 restored + `total` finished terminal ids; the oldest 5 go.
+        for gone in [2, 3, 4, 5, 6] {
+            assert!(q.snapshot(gone).is_none(), "job {gone} pruned");
+        }
+        assert!(q.snapshot(7).is_some(), "job 7 retained");
+        assert!(q.snapshot(last).is_some());
+        assert_eq!(q.snapshot(pending).unwrap().state, JobState::Running);
     }
 }

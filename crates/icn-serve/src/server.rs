@@ -1,6 +1,8 @@
 //! The HTTP server: routing, worker pools, durability, and shutdown.
 //!
-//! Two fixed thread pools share an [`Arc`]ed state:
+//! The calling thread is the acceptor: it blocks in `accept` and hands
+//! each connection to one of two fixed thread pools that share an
+//! [`Arc`]ed state:
 //!
 //! * **HTTP workers** pull accepted connections off a bounded handoff
 //!   queue, parse one request, route it, and reply (`Connection: close`).
@@ -25,11 +27,14 @@
 //! honest `Retry-After` derived from the observed mean service time.
 //!
 //! Graceful shutdown (`POST /v1/shutdown` or [`ServerHandle::shutdown`])
-//! stops accepting, drains queued connections and jobs, writes the
-//! telemetry dump if one was requested, and returns a [`ServeSummary`].
+//! sets a flag and wakes the blocked acceptor by connecting once to the
+//! server's own address (loopback when bound to `0.0.0.0`/`[::]`); the
+//! acceptor drops that connection, stops accepting, drains queued
+//! connections and jobs, writes the telemetry dump if one was requested,
+//! and returns a [`ServeSummary`]. The acceptor never polls on a timer.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -56,8 +61,9 @@ use crate::trace::{resolve_trace_id, TraceBuilder, TraceStore};
 /// Connections buffered between the acceptor and the HTTP workers.
 const CONN_QUEUE_CAPACITY: usize = 128;
 
-/// How long the acceptor sleeps between polls when idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// How long the acceptor backs off after a failed `accept` (such as
+/// EMFILE), so a persistent error does not spin the thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(2);
 
 /// How often `/v1/jobs/:id/stream` emits a progress line.
 const STREAM_POLL: Duration = Duration::from_millis(100);
@@ -180,6 +186,9 @@ struct ServerState {
     jobs: JobQueue,
     telemetry: ServeTelemetry,
     shutdown: AtomicBool,
+    /// Where [`request_shutdown`] connects to wake the blocked acceptor:
+    /// the bound address, with an unspecified IP replaced by loopback.
+    wake_addr: SocketAddr,
     /// The write-ahead journal, when durability is enabled. Lock order:
     /// journal before jobs (compaction holds the journal lock while
     /// snapshotting the queue); nothing locks the other way around.
@@ -250,14 +259,24 @@ impl Server {
             None => ResultCache::new(config.cache_entries),
         };
 
+        // With a spill, each finished result is stored once: on disk under
+        // its content key, not again in the job table.
+        let queue = |next_id| {
+            let jobs = JobQueue::with_recovered(config.queue_depth, next_id);
+            if spill_active {
+                jobs.spilled()
+            } else {
+                jobs
+            }
+        };
         let mut journal = None;
         let mut recovered_event = None;
         let mut replayed_jobs = 0u64;
         let jobs = match config.journal.as_deref() {
-            None => JobQueue::new(config.queue_depth),
+            None => queue(1),
             Some(path) => {
                 let (mut handle, recovery) = Journal::recover(Path::new(path))?;
-                let jobs = JobQueue::with_recovered(config.queue_depth, recovery.next_id);
+                let jobs = queue(recovery.next_id);
                 let mut restored_cache = 0u64;
                 for (key, body) in recovery.orphan_results {
                     cache.insert(&key, Arc::new(body));
@@ -316,10 +335,7 @@ impl Server {
                 }
                 // Compact away everything the spill now owns.
                 let (next_id, records) = jobs.journal_view();
-                handle.compact(&compaction_records(
-                    next_id,
-                    &compaction_jobs(records, spill_active),
-                ))?;
+                handle.compact(&compaction_records(next_id, &compaction_jobs(records)))?;
                 recovered_event = Some(ServeEvent::Recovered {
                     jobs: total_jobs,
                     requeued,
@@ -337,6 +353,7 @@ impl Server {
             jobs,
             telemetry: ServeTelemetry::new(),
             shutdown: AtomicBool::new(false),
+            wake_addr: wake_addr(addr),
             journal,
             spill_active,
             traces: TraceStore::new(),
@@ -372,14 +389,13 @@ impl Server {
     /// Serve until shutdown is requested, then drain and summarize.
     ///
     /// # Errors
-    /// Returns an I/O error only for listener-level failures
-    /// (`set_nonblocking`) or a failed telemetry-dump write; per-connection
+    /// Returns an I/O error only for a failed telemetry-dump write; accept
+    /// failures are retried after a short backoff, and per-connection
     /// errors are answered on the wire and never abort the server.
     pub fn run(self) -> std::io::Result<ServeSummary> {
         let Self {
             listener, state, ..
         } = self;
-        listener.set_nonblocking(true)?;
         let conns = Arc::new(ConnQueue::default());
 
         std::thread::scope(|scope| {
@@ -399,9 +415,12 @@ impl Server {
                 job_handles.push(scope.spawn(move || job_worker(&state)));
             }
 
-            // Acceptor: poll so the shutdown flag is observed promptly.
+            // Acceptor: block in `accept`. Shutdown sets the flag and then
+            // connects to this listener (see `request_shutdown`), so the
+            // accept that connection completes sees the flag and leaves.
             while !state.shutdown.load(Ordering::Acquire) {
                 match listener.accept() {
+                    Ok(_) if state.shutdown.load(Ordering::Acquire) => break,
                     Ok((stream, _)) => {
                         if let Err(mut stream) = conns.push(stream) {
                             // Handoff queue full: shed load at the door.
@@ -410,10 +429,7 @@ impl Server {
                                 .write(&mut stream);
                         }
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
+                    Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
                 }
             }
 
@@ -455,13 +471,30 @@ impl Server {
     }
 }
 
-/// Flip the shutdown flag (idempotent) and log the event once.
+/// Flip the shutdown flag (idempotent); the first call also logs the
+/// event and wakes the acceptor out of its blocking `accept` with one
+/// connection to the server's own address. A failed wake connect leaves
+/// the acceptor to see the flag on its next real connection.
 fn request_shutdown(state: &ServerState) {
     if !state.shutdown.swap(true, Ordering::AcqRel) {
         state.telemetry.event(ServeEvent::ShutdownRequested {
             jobs_pending: state.jobs.depth() as u64,
         });
+        let _ = TcpStream::connect(state.wake_addr);
     }
+}
+
+/// The address that reaches a listener bound to `bound`: itself, or the
+/// loopback address of the same family when bound to `0.0.0.0`/`[::]`.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// Append one record to the journal, if one is configured. Append errors
@@ -477,9 +510,10 @@ fn journal_append(state: &ServerState, record: &Record) {
 }
 
 /// Project the queue's jobs into the journal compactor's shape. With a
-/// disk spill active, completed bodies are *not* inlined — the spill owns
-/// them, keyed by content — which is what lets compaction drop them.
-fn compaction_jobs(records: Vec<JobRecord>, spill_active: bool) -> Vec<CompactionJob> {
+/// disk spill active the queue holds no completed bodies, so none are
+/// inlined — the spill owns them, keyed by content — which is what lets
+/// compaction drop them.
+fn compaction_jobs(records: Vec<JobRecord>) -> Vec<CompactionJob> {
     records
         .into_iter()
         .map(|r| CompactionJob {
@@ -488,14 +522,9 @@ fn compaction_jobs(records: Vec<JobRecord>, spill_active: bool) -> Vec<Compactio
             priority: r.priority,
             deadline_ms: r.deadline_ms,
             config: r.canonical.as_str().to_string(),
-            outcome: r.outcome.map(|outcome| match outcome {
-                Ok(body) => Ok(if spill_active {
-                    None
-                } else {
-                    Some(body.as_str().to_string())
-                }),
-                Err(message) => Err(message),
-            }),
+            outcome: r
+                .outcome
+                .map(|outcome| outcome.map(|body| body.map(|b| b.as_str().to_string()))),
         })
         .collect()
 }
@@ -512,10 +541,7 @@ fn maybe_compact(state: &ServerState) {
     let before_bytes = journal.bytes();
     let (next_id, records) = state.jobs.journal_view();
     if journal
-        .compact(&compaction_records(
-            next_id,
-            &compaction_jobs(records, state.spill_active),
-        ))
+        .compact(&compaction_records(next_id, &compaction_jobs(records)))
         .is_ok()
     {
         state.telemetry.event(ServeEvent::JournalCompacted {
@@ -1058,7 +1084,7 @@ fn job_endpoints(state: &ServerState, path: &str) -> Response {
         return Response::json(404, error_body(&format!("no such job: {id}")));
     };
     if want_trace {
-        let engine = engine_profile(&job);
+        let engine = job_body(state, &job).and_then(|body| engine_profile(&body));
         return match state.traces.render(id, job.state.label(), engine) {
             Some(body) => Response::json(200, body),
             // The job exists but predates this process (journal recovery)
@@ -1067,8 +1093,16 @@ fn job_endpoints(state: &ServerState, path: &str) -> Response {
         };
     }
     if want_result {
-        return match (job.state, job.result, job.error) {
+        return match (job.state, job_body(state, &job), job.error) {
             (JobState::Done, Some(body), _) => Response::json(200, body.as_str()),
+            // The spill lost the body (deleted, or discarded as corrupt);
+            // the job's key is free, so a resubmit recomputes it.
+            (JobState::Done, None, _) => Response::json(
+                500,
+                format!(
+                    r#"{{"error":"result body missing from the cache spill; resubmit the job to recompute it","kind":"result_missing","job":{id}}}"#
+                ),
+            ),
             (JobState::Failed, _, error) => Response::json(
                 500,
                 error_body(&error.unwrap_or_else(|| "job failed".to_string())),
@@ -1095,11 +1129,22 @@ fn job_endpoints(state: &ServerState, path: &str) -> Response {
     )
 }
 
+/// A finished job's result body: from the job table, or — when the disk
+/// spill owns it — read back from the cache without counting a lookup.
+fn job_body(state: &ServerState, job: &JobSnapshot) -> Option<Arc<String>> {
+    match job.state {
+        JobState::Done => job
+            .result
+            .clone()
+            .or_else(|| state.cache.lock().peek(&job.key)),
+        _ => None,
+    }
+}
+
 /// The engine's cycle-domain span profile from a finished job's result
 /// body (`telemetry.spans`), present only when the job ran with
 /// `"profile": true`.
-fn engine_profile(job: &JobSnapshot) -> Option<Value> {
-    let body = job.result.as_ref()?;
+fn engine_profile(body: &str) -> Option<Value> {
     let value: Value = serde_json::from_str(body).ok()?;
     let spans = value.get("telemetry")?.get("spans")?;
     if spans.is_null() {

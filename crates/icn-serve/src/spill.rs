@@ -91,11 +91,20 @@ impl DiskStore {
         Ok(())
     }
 
-    /// Fetch the body for `key`, verifying the frame. Returns `None` when
-    /// absent — or when present but corrupt/truncated, in which case the
-    /// bad file is deleted and counted.
+    /// Fetch the body for `key`, verifying the frame, and count the hit.
+    /// Returns `None` when absent — or when present but corrupt/truncated,
+    /// in which case the bad file is deleted and counted.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<String> {
+        let body = self.read(key)?;
+        self.counters.hits.fetch_add(1, Ordering::Relaxed);
+        Some(body)
+    }
+
+    /// [`DiskStore::get`] without counting a hit: for callers that read a
+    /// body back by key rather than answer a cache lookup.
+    #[must_use]
+    pub fn read(&self, key: &str) -> Option<String> {
         let path = self.dir.join(file_name(key));
         let mut raw = Vec::new();
         match File::open(&path) {
@@ -106,17 +115,12 @@ impl DiskStore {
             }
             Err(_) => return None,
         }
-        match decode(&raw) {
-            Some(body) => {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                Some(body)
-            }
-            None => {
-                let _ = std::fs::remove_file(&path);
-                self.counters.discarded.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let body = decode(&raw);
+        if body.is_none() {
+            let _ = std::fs::remove_file(&path);
+            self.counters.discarded.fetch_add(1, Ordering::Relaxed);
         }
+        body
     }
 
     /// Whether an (unverified) entry exists for `key`.
@@ -170,6 +174,12 @@ mod tests {
         s.put("00ab:12cd", body).unwrap();
         assert_eq!(s.get("00ab:12cd").as_deref(), Some(body));
         assert_eq!(s.counters.hits.load(Ordering::Relaxed), 1);
+        assert_eq!(s.read("00ab:12cd").as_deref(), Some(body));
+        assert_eq!(
+            s.counters.hits.load(Ordering::Relaxed),
+            1,
+            "read counts no hit"
+        );
         assert_eq!(s.entries(), 1);
     }
 
