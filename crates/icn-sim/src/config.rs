@@ -54,6 +54,15 @@ impl core::fmt::Display for ChipModel {
     }
 }
 
+/// The deepest input buffer [`SimConfig::validate`] accepts, in packets.
+///
+/// The engine allocates every stage's `ports × buffer_capacity` buffer
+/// slots when it is built, so an unbounded capacity read from disk or the
+/// network (a journaled or submitted config) could ask for terabytes. The
+/// paper's baseline is 1, and depths past ~4 add little (§2); 64 leaves
+/// ample room for ablations.
+pub const MAX_BUFFER_CAPACITY: u32 = 64;
+
 /// Output-port arbitration among contending inputs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Arbitration {
@@ -76,6 +85,7 @@ pub struct SimConfig {
     pub packet_bits: u32,
     /// Input-buffer capacity in packets (1 in the paper's baseline; ~4
     /// captures most of the buffering gain per the studies cited in §2).
+    /// At most [`MAX_BUFFER_CAPACITY`].
     pub buffer_capacity: u32,
     /// Pass-through (cut-through) enabled; disabling it forces full
     /// store-and-forward buffering at every module.
@@ -196,9 +206,10 @@ impl SimConfig {
     ///
     /// # Errors
     /// Returns [`SimError::InvalidConfig`] on a parameter outside its
-    /// domain (zero width, zero packet, zero buffers, a measurement window
-    /// of zero cycles) and [`SimError::InvalidFault`] if the fault plan
-    /// names hardware the stage plan does not have.
+    /// domain (zero width, zero packet, zero buffers or more than
+    /// [`MAX_BUFFER_CAPACITY`], a measurement window of zero cycles) and
+    /// [`SimError::InvalidFault`] if the fault plan names hardware the
+    /// stage plan does not have.
     pub fn validate(&self) -> Result<(), SimError> {
         fn require(ok: bool, msg: &str) -> Result<(), SimError> {
             if ok {
@@ -212,6 +223,10 @@ impl SimConfig {
         require(
             self.buffer_capacity >= 1,
             "each input needs at least one buffer",
+        )?;
+        require(
+            self.buffer_capacity <= MAX_BUFFER_CAPACITY,
+            &format!("buffer capacity must be at most {MAX_BUFFER_CAPACITY} packets"),
         )?;
         require(
             self.measure_cycles >= 1,
@@ -284,6 +299,21 @@ mod tests {
         c.width = 0;
         assert!(matches!(c.validate(), Err(SimError::InvalidConfig(_))));
         c.width = 1;
+        // Buffer slots are allocated up front, so an absurd depth must be
+        // refused before the engine is built, not abort in the allocator.
+        for (depth, ok) in [(0, false), (1, true), (MAX_BUFFER_CAPACITY, true)] {
+            c.buffer_capacity = depth;
+            assert_eq!(c.validate().is_ok(), ok, "depth {depth}");
+        }
+        for depth in [MAX_BUFFER_CAPACITY + 1, u32::MAX] {
+            c.buffer_capacity = depth;
+            assert!(matches!(c.validate(), Err(SimError::InvalidConfig(_))));
+            assert!(matches!(
+                crate::Engine::try_new(c.clone()),
+                Err(SimError::InvalidConfig(_))
+            ));
+        }
+        c.buffer_capacity = 1;
         c.faults = FaultPlan::new(vec![FaultEvent::permanent(
             FaultTarget::Module {
                 stage: 9,

@@ -39,8 +39,10 @@
 //! * **Entry tables** — `entry[stage][line]` precomputes
 //!   `Topology::stage_input` into a flat port index, removing div/mod
 //!   from every grant and source entry.
-//! * **Flat stages** — each stage stores its ports module-major in two
-//!   contiguous arrays (see [`crate::module`]).
+//! * **Flat stages** — each stage stores its ports module-major: outputs
+//!   in one array, inputs in one struct-of-arrays slab with cached
+//!   per-port front events, so vacate and the grant ready test sweep
+//!   contiguous memory (see [`crate::module`]).
 //! * **Scratch buffers** — the per-module ready set and the per-stage
 //!   delivery/drop lists live in reusable engine-owned buffers; each
 //!   module probes its input fronts once per cycle (O(r)) instead of once
@@ -69,7 +71,7 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::fault::{FaultEvent, FaultState, Health, StallReport};
 use crate::metrics::{LatencyStats, SimResult, StageCounters};
-use crate::module::{InputPort, OutputPort, Stage};
+use crate::module::{OutputPort, Stage};
 use crate::options::EngineOptions;
 use crate::packet::Packet;
 use crate::pool::run_jobs;
@@ -187,7 +189,6 @@ pub struct Engine {
     now: u64,
     next_id: u64,
     flits: u64,
-    ready_offset: u64,
     // Precomputed routing (see the module docs).
     store: PacketStore,
     /// `routes[dest * stage_count + stage]` = output port at `stage`.
@@ -291,7 +292,14 @@ impl Engine {
         let stages: Vec<Stage> = radices
             .iter()
             .enumerate()
-            .map(|(i, &r)| Stage::new(r, config.plan.modules_in_stage(i as u32)))
+            .map(|(i, &r)| {
+                Stage::new(
+                    r,
+                    config.plan.modules_in_stage(i as u32),
+                    config.buffer_capacity,
+                    ready_offset,
+                )
+            })
             .collect();
         let ports = config.plan.ports();
         let stage_count = config.plan.stages() as usize;
@@ -341,7 +349,6 @@ impl Engine {
             now: 0,
             next_id: 0,
             flits,
-            ready_offset,
             store: PacketStore::default(),
             routes,
             entry,
@@ -760,10 +767,10 @@ impl Engine {
             let mut ci = 0;
             for (s, stage) in stages.iter_mut().enumerate() {
                 let radix = meta[s].radix as usize;
-                let mut in_rest: &mut [InputPort] = &mut stage.inputs;
+                let mut in_rest = stage.inputs.view_mut();
                 while ci < chunks.len() && chunks[ci].stage == s {
                     let ports = chunks[ci].modules * radix;
-                    let (inputs, in_next) = std::mem::take(&mut in_rest).split_at_mut(ports);
+                    let (inputs, in_next) = in_rest.split_at_mut(ports);
                     in_rest = in_next;
                     let (occ_chunk, occ_next) = std::mem::take(&mut occ_rest).split_at_mut(ports);
                     occ_rest = occ_next;
@@ -815,10 +822,7 @@ impl Engine {
             for (s, stage) in self.stages.iter().enumerate() {
                 let radix = stage.radix as usize;
                 for m in 0..stage.module_count as usize {
-                    let occ: u64 = stage.inputs[m * radix..(m + 1) * radix]
-                        .iter()
-                        .map(|input| input.queue.len() as u64)
-                        .sum();
+                    let occ = stage.inputs.occupancy(m * radix..(m + 1) * radix);
                     telem.heat_occupancy(s, m, occ);
                 }
             }
@@ -863,7 +867,6 @@ impl Engine {
     fn source_grants(&mut self) {
         let now = self.now;
         let flits = self.flits;
-        let capacity = self.config.buffer_capacity;
         let ports = self.topology.ports();
         let mut drops = std::mem::take(&mut self.scratch_drops);
         {
@@ -881,7 +884,7 @@ impl Engine {
             } = self;
             let faults = faults.as_deref();
             let entry0: &[u32] = &entry[0];
-            let stage0 = &mut stages[0];
+            let mut stage0 = stages[0].inputs.view_mut();
             for line in 0..ports {
                 match faults.map_or(Health::Up, |f| f.source_health(line, now)) {
                     Health::Up => {}
@@ -903,8 +906,8 @@ impl Engine {
                 if source.queue.is_empty() || source.busy_until > now {
                     continue;
                 }
-                let input = &mut stage0.inputs[entry0[line as usize] as usize];
-                if !input.has_space(capacity) {
+                let input = entry0[line as usize] as usize;
+                if !stage0.has_space(input) {
                     continue;
                 }
                 let Some(r) = source.queue.pop_front() else {
@@ -919,7 +922,7 @@ impl Engine {
                 if trace != NO_TRACE {
                     traces[trace as usize].entered_at = Some(now);
                 }
-                input.push(r, now);
+                stage0.push(input, r, now);
                 *last_progress = now;
                 if let Some(sink) = events.as_mut() {
                     sink.0.record(&SimEvent::Enter {
@@ -951,7 +954,6 @@ impl Engine {
     fn dispatch_grants(&mut self) {
         let now = self.now;
         let flits = self.flits;
-        let ready_offset = self.ready_offset;
         let capacity = self.config.buffer_capacity;
         let arbitration = self.config.arbitration;
         let stage_count = self.stage_count;
@@ -982,7 +984,6 @@ impl Engine {
         let shared = GrantShared {
             now,
             flits,
-            ready_offset,
             capacity,
             arbitration,
             stage_count,
@@ -1004,12 +1005,12 @@ impl Engine {
             let mut ci = 0;
             for (s, stage) in stages.iter_mut().enumerate() {
                 let radix = meta[s].radix as usize;
-                let mut in_rest: &mut [InputPort] = &mut stage.inputs;
+                let mut in_rest = stage.inputs.view_mut();
                 let mut out_rest: &mut [OutputPort] = &mut stage.outputs;
                 while ci < chunks.len() && chunks[ci].stage == s {
                     let desc = chunks[ci];
                     let ports = desc.modules * radix;
-                    let (inputs, in_next) = std::mem::take(&mut in_rest).split_at_mut(ports);
+                    let (inputs, in_next) = in_rest.split_at_mut(ports);
                     in_rest = in_next;
                     let (outputs, out_next) = std::mem::take(&mut out_rest).split_at_mut(ports);
                     out_rest = out_next;
@@ -1073,8 +1074,11 @@ impl Engine {
                 // one push per cycle (its upstream line is unique), so
                 // applying them here is behavior-identical to the serial
                 // sweep's in-place pushes.
-                for (port, r, head_arrival) in fx.pushes.drain(..) {
-                    self.stages[s + 1].inputs[port as usize].push(r, head_arrival);
+                if !fx.pushes.is_empty() {
+                    let mut next = self.stages[s + 1].inputs.view_mut();
+                    for (port, r, head_arrival) in fx.pushes.drain(..) {
+                        next.push(port as usize, r, head_arrival);
+                    }
                 }
                 deliveries.extend_from_slice(&fx.deliveries);
                 drops.extend_from_slice(&fx.drops);
@@ -1256,8 +1260,11 @@ impl Engine {
     /// The conservation invariant, checked every cycle in debug builds:
     /// every packet ever injected is delivered, finally dropped, or still
     /// live — for the full population and the tracked subset — the
-    /// source-backlog counter matches the queues it summarizes, and the
-    /// packet arena holds exactly the live packets.
+    /// source-backlog counter matches the queues it summarizes, the
+    /// packet arena holds exactly the live packets, and every live packet
+    /// sits in exactly one place: an ungranted buffer slot, a source
+    /// queue, or the retry heap. Every input port's cached front events
+    /// must also agree with its front slot.
     #[cfg(debug_assertions)]
     fn debug_assert_conservation(&self) {
         debug_assert_eq!(
@@ -1284,6 +1291,21 @@ impl Engine {
             "packet arena leaked at {}",
             self.now
         );
+        let buffered: u64 = self.stages.iter().map(|s| s.inputs.ungranted()).sum();
+        debug_assert_eq!(
+            buffered + self.source_backlog + self.retry_queue.len() as u64,
+            self.live_packets,
+            "live packets not all placed at {}",
+            self.now
+        );
+        for (s, stage) in self.stages.iter().enumerate() {
+            let stale = stage.inputs.stale_front();
+            debug_assert!(
+                stale.is_none(),
+                "stage {s} port {stale:?}: cached front events disagree with the front slot at {}",
+                self.now
+            );
+        }
     }
 }
 

@@ -57,7 +57,7 @@ mod store;
 pub mod telemetry;
 mod trace;
 
-pub use config::{Arbitration, ChipModel, SimConfig};
+pub use config::{Arbitration, ChipModel, SimConfig, MAX_BUFFER_CAPACITY};
 pub use engine::{Delivery, DroppedPacket, Engine, STOP_POLL_CYCLES};
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultPlan, FaultTarget, RetryPolicy, StallReport};

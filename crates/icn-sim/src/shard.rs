@@ -40,7 +40,7 @@ use rand_chacha::ChaCha12Rng;
 use crate::config::Arbitration;
 use crate::fault::{FaultState, Health};
 use crate::metrics::StageCounters;
-use crate::module::{InputPort, OutputPort};
+use crate::module::{InputsMut, OutputPort};
 use crate::options::EngineOptions;
 use crate::pool::WorkerPool;
 use crate::store::{PacketRef, PacketStore, NO_TRACE};
@@ -277,26 +277,20 @@ pub(crate) fn schedule<'a>(
 /// back-pressure reads.
 pub(crate) struct VacateJob<'a> {
     pub now: u64,
-    pub inputs: &'a mut [InputPort],
+    pub inputs: InputsMut<'a>,
     pub occ: &'a mut [u32],
     pub freed: &'a mut u64,
 }
 
 /// Run one vacate chunk.
 pub(crate) fn vacate_chunk(job: &mut VacateJob<'_>) {
-    let mut freed = 0;
-    for (input, occ) in job.inputs.iter_mut().zip(job.occ.iter_mut()) {
-        freed += input.vacate(job.now);
-        *occ = input.queue.len() as u32;
-    }
-    *job.freed = freed;
+    *job.freed = job.inputs.vacate_all(job.now, job.occ);
 }
 
 /// Read-only state shared by every grant chunk of one cycle.
 pub(crate) struct GrantShared<'a> {
     pub now: u64,
     pub flits: u64,
-    pub ready_offset: u64,
     pub capacity: u32,
     pub arbitration: Arbitration,
     pub stage_count: usize,
@@ -323,7 +317,7 @@ pub(crate) struct GrantShared<'a> {
 pub(crate) struct GrantJob<'a> {
     pub desc: ChunkDesc,
     /// The chunk's input ports (local index 0 = the chunk's first port).
-    pub inputs: &'a mut [InputPort],
+    pub inputs: InputsMut<'a>,
     /// The chunk's output ports, same layout.
     pub outputs: &'a mut [OutputPort],
     pub scratch: &'a mut ShardScratch,
@@ -339,7 +333,6 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
     let GrantShared {
         now,
         flits,
-        ready_offset,
         capacity,
         arbitration,
         stage_count,
@@ -382,10 +375,7 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
             // wait it out under ordinary back-pressure.
             Health::TransientDown => {
                 for in_port in 0..radix {
-                    if job.inputs[base + in_port]
-                        .requesting_head(now, ready_offset)
-                        .is_some()
-                    {
+                    if job.inputs.ready_at(base + in_port) <= now {
                         counters.blocked_fault += 1;
                     }
                 }
@@ -395,10 +385,9 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
             // packet inside it: drain each input's ready heads as drops.
             // (Heads arriving later drop on the cycle they become ready.)
             Health::PermanentDown => {
-                for in_port in 0..radix {
-                    let input = &mut job.inputs[base + in_port];
-                    while input.requesting_head(now, ready_offset).is_some() {
-                        let Some(dropped) = input.drop_front() else {
+                for p in base..base + radix {
+                    while job.inputs.ready_at(p) <= now {
+                        let Some(dropped) = job.inputs.drop_front(p) else {
                             break;
                         };
                         fx.drops.push(dropped);
@@ -413,7 +402,7 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
         let mut any_ready = false;
         tag_count.fill(0);
         for (in_port, slot) in ready.iter_mut().enumerate() {
-            *slot = match job.inputs[base + in_port].requesting_head(now, ready_offset) {
+            *slot = match job.inputs.requesting_head(base + in_port, now) {
                 Some(r) => {
                     let tag = tag_of(r);
                     tag_count[tag as usize] += 1;
@@ -450,8 +439,8 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
                     // sweep did).
                     for (in_port, slot) in ready.iter_mut().enumerate() {
                         while *slot == out_port_u {
-                            let input = &mut job.inputs[base + in_port];
-                            let Some(dropped) = input.drop_front() else {
+                            let p = base + in_port;
+                            let Some(dropped) = job.inputs.drop_front(p) else {
                                 tag_count[out_port] -= 1;
                                 *slot = NO_TAG;
                                 break;
@@ -459,7 +448,7 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
                             fx.drops.push(dropped);
                             counters.dropped += 1;
                             tag_count[out_port] -= 1;
-                            *slot = match input.requesting_head(now, ready_offset) {
+                            *slot = match job.inputs.requesting_head(p, now) {
                                 Some(r) => {
                                     let tag = tag_of(r);
                                     tag_count[tag as usize] += 1;
@@ -532,15 +521,13 @@ pub(crate) fn grant_chunk(shared: &GrantShared<'_>, job: &mut GrantJob<'_>) {
             if record_waits {
                 // Cycles the winning head sat ready (arbitration loss,
                 // busy output, or back-pressure) before this grant.
-                if let Some(front) = job.inputs[base + winner as usize].queue.front() {
-                    fx.stage_waits
-                        .push(now - (front.head_arrival + ready_offset));
-                }
+                fx.stage_waits
+                    .push(now - job.inputs.ready_at(base + winner as usize));
             }
             if record_heat {
                 fx.heat_grants.push(module_idx as u32);
             }
-            let Some(r) = job.inputs[base + winner as usize].grant_front(now + flits) else {
+            let Some(r) = job.inputs.grant_front(base + winner as usize, now + flits) else {
                 debug_assert!(false, "arbitration winner has no front slot");
                 continue;
             };
