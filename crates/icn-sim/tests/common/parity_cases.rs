@@ -14,8 +14,10 @@
 //! chip model, width, cut-through vs store-and-forward, arbitration,
 //! buffer depth, faults (permanent + transient, with retries), telemetry
 //! sampling, packet tracing, hot-spot traffic, mixed radices, a watchdog
-//! stall, and one paper-scale 2048-port run (result only — its event
-//! stream would dwarf the repository).
+//! stall, trace-driven replay (the same recorded arrivals against a
+//! cut-through and a store-and-forward switch), and one paper-scale
+//! 2048-port run (result only — its event stream would dwarf the
+//! repository).
 
 use icn_sim::telemetry::MemorySink;
 use icn_sim::{
@@ -23,7 +25,9 @@ use icn_sim::{
     SimConfig, TelemetryConfig,
 };
 use icn_topology::StagePlan;
-use icn_workloads::Workload;
+use icn_workloads::{TrafficTrace, Workload};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 /// One parity configuration.
 pub struct ParityCase {
@@ -33,6 +37,19 @@ pub struct ParityCase {
     pub record_events: bool,
     /// The configuration itself (fully deterministic given its seed).
     pub config: SimConfig,
+    /// Recorded arrivals replayed in place of the config's workload
+    /// (`None`: the workload drives injection).
+    pub trace: Option<TrafficTrace>,
+}
+
+/// A uniform trace over `config`'s warmup + measurement window.
+fn synthesized_trace(config: &SimConfig, load: f64, seed: u64) -> TrafficTrace {
+    TrafficTrace::synthesize(
+        &Workload::uniform(load),
+        config.plan.ports(),
+        config.warmup_cycles + config.measure_cycles,
+        &mut ChaCha8Rng::seed_from_u64(seed),
+    )
 }
 
 /// The full parity matrix.
@@ -55,6 +72,7 @@ pub fn cases() -> Vec<ParityCase> {
         name: "clean_dmc_w4",
         record_events: true,
         config: clean,
+        trace: None,
     });
 
     // Store-and-forward MCC with deep buffers and fixed-priority
@@ -76,6 +94,7 @@ pub fn cases() -> Vec<ParityCase> {
         name: "sf_fixedprio_mcc_w2",
         record_events: true,
         config: sf,
+        trace: None,
     });
 
     // Faults with retries: permanent module + link failures mid-run, a
@@ -106,6 +125,7 @@ pub fn cases() -> Vec<ParityCase> {
         name: "faulty_retry",
         record_events: true,
         config: faulty,
+        trace: None,
     });
 
     // Telemetry sampling under hot-spot traffic: the report (time series,
@@ -125,6 +145,7 @@ pub fn cases() -> Vec<ParityCase> {
         name: "telemetry_hotspot",
         record_events: true,
         config: telem,
+        trace: None,
     });
 
     // Mixed radices with a long transient outage the watchdog gives up on:
@@ -152,6 +173,50 @@ pub fn cases() -> Vec<ParityCase> {
         name: "mixed_radix_stall",
         record_events: true,
         config: stall,
+        trace: None,
+    });
+
+    // Trace replay: recorded arrivals drive injection (the configs'
+    // workloads are ignored), once through the paper's cut-through
+    // single-buffer switch and once through a store-and-forward switch
+    // with deep buffers.
+    let mut trace_ct = SimConfig::paper_baseline(
+        StagePlan::uniform(4, 2),
+        ChipModel::Dmc,
+        4,
+        Workload::uniform(0.05),
+    );
+    trace_ct.seed = 21;
+    trace_ct.buffer_capacity = 1;
+    trace_ct.warmup_cycles = 100;
+    trace_ct.measure_cycles = 400;
+    trace_ct.drain_cycles = 20_000;
+    let trace = synthesized_trace(&trace_ct, 0.03, 0x7ACE);
+    cases.push(ParityCase {
+        name: "trace_ct_b1",
+        record_events: true,
+        config: trace_ct,
+        trace: Some(trace),
+    });
+
+    let mut trace_sf = SimConfig::paper_baseline(
+        StagePlan::uniform(4, 2),
+        ChipModel::Mcc,
+        4,
+        Workload::uniform(0.05),
+    );
+    trace_sf.seed = 22;
+    trace_sf.cut_through = false;
+    trace_sf.buffer_capacity = 4;
+    trace_sf.warmup_cycles = 100;
+    trace_sf.measure_cycles = 400;
+    trace_sf.drain_cycles = 20_000;
+    let trace = synthesized_trace(&trace_sf, 0.02, 0x5F04);
+    cases.push(ParityCase {
+        name: "trace_sf_b4",
+        record_events: true,
+        config: trace_sf,
+        trace: Some(trace),
     });
 
     // Paper scale: the §6 2048-port DMC network, short run, result only.
@@ -169,6 +234,7 @@ pub fn cases() -> Vec<ParityCase> {
         name: "big_dmc2048",
         record_events: false,
         config: big,
+        trace: None,
     });
 
     cases
@@ -219,6 +285,7 @@ pub fn matrix() -> Vec<ParityCase> {
                     name: case.name,
                     record_events: case.record_events,
                     config,
+                    trace: case.trace.clone(),
                 });
             }
         }
@@ -238,13 +305,20 @@ pub fn render(case: &ParityCase) -> (String, Option<String>) {
 /// serial-vs-parallel matrix.
 #[must_use]
 pub fn render_with_options(case: &ParityCase, options: EngineOptions) -> (String, Option<String>) {
-    let mut engine = Engine::with_options(case.config.clone(), options);
+    let mut config = case.config.clone();
+    if case.trace.is_some() {
+        config.workload.load = 0.0; // injections come from the trace
+    }
+    let mut engine = Engine::with_options(config, options);
     let sink = MemorySink::new();
     if case.record_events {
         engine.set_event_sink(sink.clone());
     }
-    let result = engine.run();
-    let result_json = serde_json::to_string_pretty(&result).expect("results serialize") + "\n";
+    let result = match &case.trace {
+        None => engine.run(),
+        Some(trace) => replay(engine, trace),
+    };
+    let result_json = result_json(&result);
     let events = case.record_events.then(|| {
         let mut out = String::new();
         for event in sink.events() {
@@ -254,4 +328,34 @@ pub fn render_with_options(case: &ParityCase, options: EngineOptions) -> (String
         out
     });
     (result_json, events)
+}
+
+/// The canonical fixture rendering of a result: pretty JSON plus a
+/// trailing newline.
+#[must_use]
+pub fn result_json(result: &icn_sim::SimResult) -> String {
+    serde_json::to_string_pretty(result).expect("results serialize") + "\n"
+}
+
+/// `icn_sim::run_trace`'s replay loop on a caller-built engine, so the
+/// event sink can be attached; the parity test checks that it returns
+/// exactly what `run_trace` itself returns.
+fn replay(mut engine: Engine, trace: &TrafficTrace) -> icn_sim::SimResult {
+    let config = engine.config();
+    let measure_end = config.warmup_cycles + config.measure_cycles;
+    let hard_end = measure_end + config.drain_cycles;
+    let entries = trace.entries();
+    let mut next = 0usize;
+    while engine.now() < hard_end {
+        while next < entries.len() && entries[next].cycle == engine.now() {
+            engine.inject(entries[next].src, entries[next].dest);
+            next += 1;
+        }
+        let exhausted = next >= entries.len();
+        if exhausted && engine.now() >= measure_end && engine.pending_tracked() == 0 {
+            break;
+        }
+        engine.step();
+    }
+    engine.finish()
 }

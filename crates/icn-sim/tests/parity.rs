@@ -102,6 +102,10 @@ fn results_and_event_streams_match_fixtures_byte_for_byte() {
         let (result_json, events) = parity_cases::render(&case);
         let want_result = read_fixture(&format!("{}.result.json", case.name));
         assert_identical("result", case.name, &result_json, &want_result);
+        if let Some(trace) = &case.trace {
+            let direct = parity_cases::result_json(&icn_sim::run_trace(case.config.clone(), trace));
+            assert_identical("run_trace result", case.name, &direct, &want_result);
+        }
         if let Some(events) = events {
             let want_events = read_fixture(&format!("{}.events.jsonl", case.name));
             assert_identical("events", case.name, &events, &want_events);
@@ -126,6 +130,12 @@ fn parity_matrix_exercises_the_interesting_paths() {
         .any(|c| c.config.arbitration == icn_sim::Arbitration::FixedPriority));
     assert!(cases.iter().any(|c| c.config.plan.ports() >= 2048));
     assert!(cases.iter().any(|c| !c.record_events));
+    assert!(cases
+        .iter()
+        .any(|c| c.trace.is_some() && c.config.cut_through && c.config.buffer_capacity == 1));
+    assert!(cases
+        .iter()
+        .any(|c| c.trace.is_some() && !c.config.cut_through && c.config.buffer_capacity > 1));
 
     // The recorded fixtures, between them, contain every event kind.
     let mut kinds = std::collections::BTreeSet::new();
