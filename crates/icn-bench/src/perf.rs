@@ -129,7 +129,7 @@ pub fn measure_with_threads(case: &BenchCase, iters: u32, threads: usize) -> Mea
     for _ in 0..iters {
         let config = case.config.clone();
         let start = Instant::now();
-        let engine = Engine::with_options(config, options);
+        let engine = Engine::try_with_options(config, options).expect("bench cases are valid");
         resolved_threads = engine.threads();
         let result = engine.run();
         let secs = start.elapsed().as_secs_f64();

@@ -8,7 +8,7 @@
 //! unique-path design gives up: connectivity, delivered fraction, and the
 //! latency of the traffic that still gets through.
 
-use icn_sim::{self, MemorySink, RetryPolicy};
+use icn_sim::{self, Engine, MemorySink, RetryPolicy};
 use icn_workloads::Workload;
 
 use crate::table::{trim_float, TextTable};
@@ -77,7 +77,9 @@ pub fn fault_tolerance(effort: SimEffort) -> ExperimentRecord {
         FAULT_SEED,
     );
     let sink = MemorySink::new();
-    let heavy_result = icn_sim::run_with_sink(heavy_config, sink.clone());
+    let mut engine = Engine::new(heavy_config);
+    engine.set_event_sink(sink.clone());
+    let heavy_result = engine.run();
     let counts = sink.counts_by_kind();
     let count = |kind: &str| counts.get(kind).copied().unwrap_or(0);
     let reconciled = count("drop") == heavy_result.dropped_total

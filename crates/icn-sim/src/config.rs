@@ -309,7 +309,7 @@ mod tests {
             c.buffer_capacity = depth;
             assert!(matches!(c.validate(), Err(SimError::InvalidConfig(_))));
             assert!(matches!(
-                crate::Engine::try_new(c.clone()),
+                crate::Engine::try_with_options(c.clone(), crate::EngineOptions::default()),
                 Err(SimError::InvalidConfig(_))
             ));
         }

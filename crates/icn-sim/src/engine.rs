@@ -66,6 +66,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use icn_topology::Topology;
+use icn_workloads::{TraceEntry, TrafficTrace};
 
 use crate::config::SimConfig;
 use crate::error::SimError;
@@ -235,47 +236,25 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Build an engine for the given configuration.
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid (see [`SimConfig::validate`]);
-    /// use [`Engine::try_new`] for a typed error instead.
-    #[must_use]
-    pub fn new(config: SimConfig) -> Self {
-        match Self::try_new(config) {
-            Ok(engine) => engine,
-            // icn-lint: allow(ICN003) -- documented panicking wrapper; try_new returns the typed error
-            Err(e) => panic!("invalid simulation config: {e}"),
-        }
-    }
-
-    /// Build an engine for the given configuration, reporting an invalid
-    /// configuration (including an invalid fault plan) as a typed error.
-    /// Runs serially; use [`Engine::try_with_options`] for a sharded run.
-    ///
-    /// # Errors
-    /// Returns whatever [`SimConfig::validate`] rejects.
-    pub fn try_new(config: SimConfig) -> Result<Self, SimError> {
-        Self::try_with_options(config, EngineOptions::default())
-    }
-
-    /// Build an engine with explicit [`EngineOptions`] (thread budget,
-    /// chunking). Options steer *how* the run executes, never what it
-    /// computes: results are byte-identical across every option value.
+    /// Build a serial engine for the given configuration.
     ///
     /// # Panics
     /// Panics if the configuration is invalid (see [`SimConfig::validate`]);
     /// use [`Engine::try_with_options`] for a typed error instead.
     #[must_use]
-    pub fn with_options(config: SimConfig, options: EngineOptions) -> Self {
-        match Self::try_with_options(config, options) {
+    pub fn new(config: SimConfig) -> Self {
+        match Self::try_with_options(config, EngineOptions::default()) {
             Ok(engine) => engine,
             // icn-lint: allow(ICN003) -- documented panicking wrapper; try_with_options returns the typed error
             Err(e) => panic!("invalid simulation config: {e}"),
         }
     }
 
-    /// [`Engine::try_new`] with explicit [`EngineOptions`].
+    /// Build an engine with explicit [`EngineOptions`] (thread budget,
+    /// chunking), reporting an invalid configuration (including an invalid
+    /// fault plan) as a typed error. Options steer *how* the run executes,
+    /// never what it computes: results are byte-identical across every
+    /// option value.
     ///
     /// # Errors
     /// Returns whatever [`SimConfig::validate`] rejects.
@@ -648,7 +627,7 @@ impl Engine {
     /// closed and every tracked packet has drained.
     #[must_use]
     pub fn run(mut self) -> SimResult {
-        self.run_core(None);
+        self.run_core(&[], None);
         self.finish()
     }
 
@@ -667,30 +646,64 @@ impl Engine {
     /// no use for a result it cannot trust to be complete).
     pub fn run_bounded(mut self, should_stop: impl FnMut() -> bool) -> Result<SimResult, SimError> {
         let mut should_stop = should_stop;
-        if self.run_core(Some(&mut should_stop)) {
+        if self.run_core(&[], Some(&mut should_stop)) {
             return Err(SimError::DeadlineExceeded { at_cycle: self.now });
         }
         Ok(self.finish())
     }
 
-    /// The shared run loop. Returns `true` iff the stop predicate fired
-    /// (never when `should_stop` is `None`).
-    fn run_core(&mut self, mut should_stop: Option<&mut dyn FnMut() -> bool>) -> bool {
+    /// [`Engine::run`] with a recorded [`TrafficTrace`] driving injection
+    /// in place of the configured workload: each entry is injected at its
+    /// cycle, so the *same arrivals* can be replayed against different
+    /// switch designs. The run cannot end before the last entry is in;
+    /// after that it stops exactly as [`Engine::run`] does (drained,
+    /// idle, or stalled).
+    ///
+    /// # Panics
+    /// Panics if the trace's port count does not match the plan.
+    #[must_use]
+    pub fn run_trace(mut self, trace: &TrafficTrace) -> SimResult {
+        assert_eq!(
+            trace.ports(),
+            self.topology.ports(),
+            "trace recorded for a different network size"
+        );
+        self.stop_injection();
+        self.run_core(trace.entries(), None);
+        self.finish()
+    }
+
+    /// The shared run loop. `arrivals` (sorted by cycle) are injected as
+    /// their cycles come up; while any are still to come, neither the end
+    /// of the measurement window nor an idle network ends the run. Returns
+    /// `true` iff the stop predicate fired (never when `should_stop` is
+    /// `None`).
+    fn run_core(
+        &mut self,
+        arrivals: &[TraceEntry],
+        mut should_stop: Option<&mut dyn FnMut() -> bool>,
+    ) -> bool {
         let measure_end = self.config.warmup_cycles + self.config.measure_cycles;
         let hard_end = measure_end + self.config.drain_cycles;
+        let mut next = 0;
         while self.now < hard_end {
+            while let Some(a) = arrivals.get(next).filter(|a| a.cycle <= self.now) {
+                self.inject(a.src, a.dest);
+                next += 1;
+            }
+            let arrivals_pending = next < arrivals.len();
             // A fired watchdog means no forward progress is possible (or
             // worth waiting for); stop with the diagnostic instead of
             // spinning out the remaining drain budget.
             if self.stall.is_some() {
                 break;
             }
-            if self.now >= measure_end && self.pending_tracked == 0 {
+            if !arrivals_pending && self.now >= measure_end && self.pending_tracked == 0 {
                 break;
             }
             // With no workload there is nothing left to simulate once the
             // network has fully drained.
-            if self.live_packets == 0 && self.config.workload.load <= 0.0 {
+            if !arrivals_pending && self.live_packets == 0 && self.config.workload.load <= 0.0 {
                 break;
             }
             if let Some(stop) = should_stop.as_deref_mut() {

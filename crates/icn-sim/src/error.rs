@@ -6,7 +6,7 @@
 //! everything a *caller* can get wrong — an invalid configuration, an
 //! out-of-range port, a fault plan naming hardware that does not exist —
 //! is reported as a [`SimError`] through `try_`-prefixed entry points
-//! ([`crate::SimConfig::validate`], [`crate::Engine::try_new`],
+//! ([`crate::SimConfig::validate`], [`crate::Engine::try_with_options`],
 //! [`crate::Engine::try_inject`]), so drivers like the CLI can map bad
 //! input to a clean nonzero exit instead of a backtrace.
 

@@ -197,15 +197,17 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Run one job per chunk: inline in order when `pool` is `None`, else
+/// Run every job once: inline in order when `pool` is `None`, else
 /// claimed dynamically by every shard (pool workers + the caller) through
-/// an atomic counter. `perm`/`yield_bits` perturb the *dispatch* only —
-/// merge order is canonical, so results cannot depend on either.
+/// an atomic counter. The engine's jobs are module chunks; the batch
+/// runner's (`run_parallel`) are whole simulations. `perm`/`yield_bits`
+/// perturb the *dispatch* only — merge order is canonical, so results
+/// cannot depend on either.
 ///
 /// This lives here (not in `shard.rs`) because it is synchronization, not
 /// shard logic: the claim counter and per-job locks are the hand-off
-/// between the barrier protocol and the chunk kernels, and ICN203 pins
-/// every cross-thread primitive to this file.
+/// between the barrier protocol and the jobs, and ICN203 pins every
+/// cross-thread primitive to this file.
 pub(crate) fn run_jobs<J: Send>(
     pool: Option<&WorkerPool>,
     perm: Option<&[u32]>,

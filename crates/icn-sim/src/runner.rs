@@ -1,4 +1,9 @@
-//! Batch execution: single runs, parallel fan-out, and load sweeps.
+//! Batch execution: single runs, trace replay, parallel fan-out, and
+//! load sweeps — thin wrappers over [`Engine`], which owns the one run
+//! loop. Anything beyond these (an event sink, a thread budget, a stop
+//! predicate) is [`Engine::try_with_options`], then
+//! [`Engine::set_event_sink`], then [`Engine::run`] or
+//! [`Engine::run_bounded`].
 
 use serde::{Deserialize, Serialize};
 
@@ -7,48 +12,15 @@ use crate::engine::Engine;
 use crate::fault::FaultPlan;
 use crate::metrics::SimResult;
 use crate::options::EngineOptions;
-use crate::telemetry::EventSink;
+use crate::pool::{run_jobs, WorkerPool};
 
 /// Run one configuration to completion.
-#[must_use]
-pub fn run(config: SimConfig) -> SimResult {
-    Engine::new(config).run()
-}
-
-/// [`run`] under explicit [`EngineOptions`] — e.g. a shard-thread budget.
-/// Options never affect the result, only how fast it is produced.
 ///
 /// # Panics
 /// Panics if the configuration is invalid (see [`SimConfig::validate`]).
 #[must_use]
-pub fn run_with_options(config: SimConfig, options: EngineOptions) -> SimResult {
-    Engine::with_options(config, options).run()
-}
-
-/// [`try_run`] under explicit [`EngineOptions`].
-///
-/// # Errors
-/// Returns the [`crate::error::SimError`] from [`SimConfig::validate`]
-/// when the configuration or fault plan is invalid.
-pub fn try_run_with_options(
-    config: SimConfig,
-    options: EngineOptions,
-) -> Result<SimResult, crate::error::SimError> {
-    Ok(Engine::try_with_options(config, options)?.run())
-}
-
-/// [`try_run_bounded`] under explicit [`EngineOptions`].
-///
-/// # Errors
-/// Returns the validation [`crate::error::SimError`] for a bad
-/// configuration, or [`crate::error::SimError::DeadlineExceeded`] when
-/// `should_stop` fired mid-run.
-pub fn try_run_bounded_with_options(
-    config: SimConfig,
-    options: EngineOptions,
-    should_stop: impl FnMut() -> bool,
-) -> Result<SimResult, crate::error::SimError> {
-    Engine::try_with_options(config, options)?.run_bounded(should_stop)
+pub fn run(config: SimConfig) -> SimResult {
+    Engine::new(config).run()
 }
 
 /// Run one configuration to completion, validating it first — the
@@ -56,125 +28,51 @@ pub fn try_run_bounded_with_options(
 /// that must map a bad request to a typed error, never a backtrace.
 ///
 /// # Errors
-/// Returns the [`crate::error::SimError`] from [`SimConfig::validate`] /
-/// [`Engine::try_new`] when the configuration or fault plan is invalid.
+/// Returns the [`crate::error::SimError`] from [`SimConfig::validate`]
+/// when the configuration or fault plan is invalid.
 pub fn try_run(config: SimConfig) -> Result<SimResult, crate::error::SimError> {
-    Ok(Engine::try_new(config)?.run())
+    Ok(Engine::try_with_options(config, EngineOptions::default())?.run())
 }
 
-/// [`try_run`] under a caller-supplied stop predicate (see
-/// [`Engine::run_bounded`]): validate first, then run until the schedule
-/// completes or the predicate fires. The engine polls the predicate every
-/// [`crate::engine::STOP_POLL_CYCLES`] cycles, so a service can bound a
-/// job by wall-clock time while the engine itself stays clock-free.
-///
-/// # Errors
-/// Returns the validation [`crate::error::SimError`] for a bad
-/// configuration, or [`crate::error::SimError::DeadlineExceeded`] when
-/// `should_stop` fired mid-run.
-pub fn try_run_bounded(
-    config: SimConfig,
-    should_stop: impl FnMut() -> bool,
-) -> Result<SimResult, crate::error::SimError> {
-    Engine::try_new(config)?.run_bounded(should_stop)
-}
-
-/// Run one configuration to completion with an [`EventSink`] attached,
-/// streaming every structured [`crate::telemetry::SimEvent`] the engine
-/// emits. Use a [`crate::telemetry::MemorySink`] clone (or a
-/// [`crate::telemetry::JsonlSink`] over a file) to keep a handle on the
-/// events while the engine owns the sink.
+/// Replay a recorded [`icn_workloads::TrafficTrace`] through the network
+/// (see [`Engine::run_trace`]): the trace drives injection (the config's
+/// workload load is ignored), so the *same arrivals* can be replayed
+/// against different switch designs — buffer depths, chip models,
+/// arbitration — for apples-to-apples comparisons.
 ///
 /// # Panics
-/// Panics if the configuration is invalid (see [`SimConfig::validate`]).
+/// Panics if the configuration is invalid or the trace's port count does
+/// not match the plan.
 #[must_use]
-pub fn run_with_sink(config: SimConfig, sink: impl EventSink + 'static) -> SimResult {
-    let mut engine = Engine::new(config);
-    engine.set_event_sink(sink);
-    engine.run()
+pub fn run_trace(config: SimConfig, trace: &icn_workloads::TrafficTrace) -> SimResult {
+    Engine::new(config).run_trace(trace)
 }
 
-/// Replay a recorded [`icn_workloads::TrafficTrace`] through the network:
-/// the trace drives injection (the config's workload load is ignored), so
-/// the *same arrivals* can be replayed against different switch designs —
-/// buffer depths, chip models, arbitration — for apples-to-apples
-/// comparisons.
-///
-/// # Panics
-/// Panics if the trace's port count does not match the plan.
-#[must_use]
-pub fn run_trace(mut config: SimConfig, trace: &icn_workloads::TrafficTrace) -> SimResult {
-    assert_eq!(
-        trace.ports(),
-        config.plan.ports(),
-        "trace recorded for a different network size"
-    );
-    config.workload.load = 0.0; // injections come from the trace
-    let measure_end = config.warmup_cycles + config.measure_cycles;
-    let hard_end = measure_end + config.drain_cycles;
-    let mut engine = Engine::new(config);
-    let entries = trace.entries();
-    let mut next = 0usize;
-    while engine.now() < hard_end {
-        while next < entries.len() && entries[next].cycle == engine.now() {
-            engine.inject(entries[next].src, entries[next].dest);
-            next += 1;
-        }
-        let exhausted = next >= entries.len();
-        if exhausted && engine.now() >= measure_end && engine.pending_tracked() == 0 {
-            break;
-        }
-        engine.step();
-    }
-    engine.finish()
-}
-
-/// Run many configurations concurrently, one OS thread per configuration up
-/// to the machine's parallelism, preserving input order in the output.
+/// Run many configurations concurrently, one shard of a [`WorkerPool`]
+/// per configuration up to the machine's parallelism, preserving input
+/// order in the output.
 ///
 /// Simulations are embarrassingly parallel (each engine owns its state and
-/// RNG), so plain scoped threads over a shared work counter suffice — no
-/// shared mutable simulation state exists by construction.
+/// RNG), so each job writes only its own result slot — no shared mutable
+/// simulation state exists by construction.
+///
+/// # Panics
+/// Panics if any configuration is invalid.
 #[must_use]
 pub fn run_parallel(configs: Vec<SimConfig>) -> Vec<SimResult> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    if configs.is_empty() {
-        return Vec::new();
-    }
-    let workers = std::thread::available_parallelism()
-        .map_or(1, std::num::NonZero::get)
+    // `threads: 0` resolves to one shard per available core.
+    let workers = EngineOptions::threaded(0)
+        .resolved_threads()
         .min(configs.len());
-    if workers <= 1 {
-        return configs.into_iter().map(run).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<SimResult>> = (0..configs.len()).map(|_| None).collect();
-    // icn-lint: allow(ICN203) -- batch runner over whole independent sims, outside the engine cycle; no shard state is shared
-    let slots: Vec<parking_lot::Mutex<&mut Option<SimResult>>> =
-        results.iter_mut().map(parking_lot::Mutex::new).collect(); // icn-lint: allow(ICN203) -- same independent-sims hand-off as above
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            // icn-lint: allow(ICN203) -- one scoped thread per independent simulation; joins before return, never inside a cycle
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= configs.len() {
-                    break;
-                }
-                let result = run(configs[i].clone());
-                **slots[i].lock() = Some(result);
-            });
-        }
+    // The calling thread is a shard too, so the pool needs one fewer.
+    let pool = (workers > 1).then(|| WorkerPool::new(workers - 1));
+    let mut results: Vec<Option<SimResult>> = configs.iter().map(|_| None).collect();
+    let jobs: Vec<_> = configs.into_iter().map(Some).zip(&mut results).collect();
+    run_jobs(pool.as_ref(), None, 0, jobs, &|(config, slot)| {
+        **slot = config.take().map(run);
     });
-    drop(slots);
-    // Every index below configs.len() is claimed by exactly one worker
-    // (fetch_add) and filled before the scope joins, so nothing is lost
-    // by flattening.
-    let collected: Vec<SimResult> = results.into_iter().flatten().collect();
-    debug_assert_eq!(collected.len(), configs.len());
-    collected
+    // run_jobs runs every job exactly once before it returns.
+    results.into_iter().flatten().collect()
 }
 
 /// One point of a load sweep.
@@ -351,7 +249,9 @@ mod tests {
                     chunk_modules,
                     perturb_seed: Some(7),
                 };
-                let threaded = run_with_options(config.clone(), options);
+                let threaded = Engine::try_with_options(config.clone(), options)
+                    .expect("valid config")
+                    .run();
                 assert_eq!(serial, threaded, "threads={threads} chunk={chunk_modules}");
             }
         }

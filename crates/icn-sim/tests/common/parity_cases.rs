@@ -305,18 +305,15 @@ pub fn render(case: &ParityCase) -> (String, Option<String>) {
 /// serial-vs-parallel matrix.
 #[must_use]
 pub fn render_with_options(case: &ParityCase, options: EngineOptions) -> (String, Option<String>) {
-    let mut config = case.config.clone();
-    if case.trace.is_some() {
-        config.workload.load = 0.0; // injections come from the trace
-    }
-    let mut engine = Engine::with_options(config, options);
+    let mut engine =
+        Engine::try_with_options(case.config.clone(), options).expect("parity configs are valid");
     let sink = MemorySink::new();
     if case.record_events {
         engine.set_event_sink(sink.clone());
     }
     let result = match &case.trace {
         None => engine.run(),
-        Some(trace) => replay(engine, trace),
+        Some(trace) => engine.run_trace(trace),
     };
     let result_json = result_json(&result);
     let events = case.record_events.then(|| {
@@ -335,27 +332,4 @@ pub fn render_with_options(case: &ParityCase, options: EngineOptions) -> (String
 #[must_use]
 pub fn result_json(result: &icn_sim::SimResult) -> String {
     serde_json::to_string_pretty(result).expect("results serialize") + "\n"
-}
-
-/// `icn_sim::run_trace`'s replay loop on a caller-built engine, so the
-/// event sink can be attached; the parity test checks that it returns
-/// exactly what `run_trace` itself returns.
-fn replay(mut engine: Engine, trace: &TrafficTrace) -> icn_sim::SimResult {
-    let config = engine.config();
-    let measure_end = config.warmup_cycles + config.measure_cycles;
-    let hard_end = measure_end + config.drain_cycles;
-    let entries = trace.entries();
-    let mut next = 0usize;
-    while engine.now() < hard_end {
-        while next < entries.len() && entries[next].cycle == engine.now() {
-            engine.inject(entries[next].src, entries[next].dest);
-            next += 1;
-        }
-        let exhausted = next >= entries.len();
-        if exhausted && engine.now() >= measure_end && engine.pending_tracked() == 0 {
-            break;
-        }
-        engine.step();
-    }
-    engine.finish()
 }

@@ -11,10 +11,11 @@
 //! never succeed, and the accounting must say so.
 
 use icn_sim::{
-    ChipModel, Engine, FaultEvent, FaultPlan, FaultTarget, RetryPolicy, SimConfig, SimError,
+    ChipModel, Engine, EngineOptions, FaultEvent, FaultPlan, FaultTarget, RetryPolicy, SimConfig,
+    SimError,
 };
 use icn_topology::StagePlan;
-use icn_workloads::Workload;
+use icn_workloads::{TraceEntry, TrafficTrace, Workload};
 
 fn quiet(plan: StagePlan, width: u32) -> SimConfig {
     let mut c = SimConfig::paper_baseline(plan, ChipModel::Dmc, width, Workload::uniform(0.0));
@@ -36,6 +37,23 @@ fn loaded(load: f64, seed: u64) -> SimConfig {
     c.measure_cycles = 2_000;
     c.drain_cycles = 60_000;
     c
+}
+
+/// A 4-port network with a 50-cycle watchdog whose first module is down
+/// for (effectively) the whole run, but *transiently*, so a packet routed
+/// through it blocks forever instead of dropping.
+fn wedged() -> SimConfig {
+    let mut config = quiet(StagePlan::uniform(2, 2), 4);
+    config.watchdog_cycles = 50;
+    config.faults = FaultPlan::new(vec![FaultEvent::transient(
+        FaultTarget::Module {
+            stage: 0,
+            module: 0,
+        },
+        0,
+        1_000_000,
+    )]);
+    config
 }
 
 /// The zero-cost guarantee: an explicitly empty fault plan, with any
@@ -301,21 +319,7 @@ fn transient_fault_recovers_without_loss() {
 /// through the full drain budget.
 #[test]
 fn watchdog_fires_on_a_wedged_network() {
-    let plan = StagePlan::uniform(2, 2); // 4 ports
-    let mut config = quiet(plan, 4);
-    config.watchdog_cycles = 50;
-    // Wedge the network: the packet's module is down for (effectively)
-    // the whole run, but *transiently*, so the packet blocks forever
-    // instead of dropping.
-    config.faults = FaultPlan::new(vec![FaultEvent::transient(
-        FaultTarget::Module {
-            stage: 0,
-            module: 0,
-        },
-        0,
-        1_000_000,
-    )]);
-    let mut engine = Engine::new(config);
+    let mut engine = Engine::new(wedged());
     engine.inject(0, 3);
     let result = engine.run();
     let stall = result.stall.as_ref().expect("watchdog must fire");
@@ -332,6 +336,27 @@ fn watchdog_fires_on_a_wedged_network() {
     assert!(
         result.conservation_ok(),
         "conservation holds even in a stall"
+    );
+}
+
+/// Trace replay runs the same loop as [`Engine::run`], so the watchdog
+/// ends a wedged replay too instead of stepping out the drain budget.
+#[test]
+fn watchdog_stops_a_wedged_trace_replay() {
+    let trace = TrafficTrace::new(
+        4,
+        vec![TraceEntry {
+            cycle: 0,
+            src: 0,
+            dest: 3,
+        }],
+    );
+    let result = icn_sim::run_trace(wedged(), &trace);
+    assert!(result.stall.is_some(), "watchdog must fire");
+    assert!(
+        result.cycles_run < 200,
+        "terminated promptly, not after the 500k drain budget (ran {})",
+        result.cycles_run
     );
 }
 
@@ -412,7 +437,7 @@ fn typed_errors_instead_of_panics() {
         },
         0,
     )]);
-    match Engine::try_new(config) {
+    match Engine::try_with_options(config, EngineOptions::default()) {
         Err(SimError::InvalidFault(msg)) => assert!(msg.contains("stage 7"), "{msg}"),
         other => panic!("expected InvalidFault, got {other:?}"),
     }
@@ -420,7 +445,7 @@ fn typed_errors_instead_of_panics() {
     let mut bad = loaded(0.0, 0);
     bad.width = 0;
     assert!(matches!(
-        Engine::try_new(bad),
+        Engine::try_with_options(bad, EngineOptions::default()),
         Err(SimError::InvalidConfig(_))
     ));
 

@@ -285,7 +285,7 @@ proptest! {
             perturb_seed: Some(perturb_seed),
         };
         let sharded = serde_json::to_string(
-            &Engine::with_options(config, options).run(),
+            &Engine::try_with_options(config, options).expect("valid config").run(),
         ).expect("results serialize");
         prop_assert_eq!(
             serial, sharded,
@@ -313,7 +313,7 @@ proptest! {
             fail_modules, 0, fault_seed, false,
         );
         let options = EngineOptions { threads, chunk_modules, perturb_seed: None };
-        let mut engine = Engine::with_options(config, options);
+        let mut engine = Engine::try_with_options(config, options).expect("valid config");
         for cycle in 0..400u64 {
             engine.step();
             prop_assert_eq!(

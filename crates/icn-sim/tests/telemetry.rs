@@ -55,7 +55,9 @@ fn telemetry_is_deterministic_across_runs() {
         let mut config = faulty_config(seed);
         config.telemetry = TelemetryConfig::sampled(50);
         let sink = MemorySink::new();
-        let result = icn_sim::run_with_sink(config, sink.clone());
+        let mut engine = Engine::new(config);
+        engine.set_event_sink(sink.clone());
+        let result = engine.run();
         (result, sink.events())
     };
     let (a, a_events) = run_once(11);
@@ -87,7 +89,9 @@ fn disabled_telemetry_equals_enabled_field_for_field() {
 
         let mut on_config = config;
         on_config.telemetry = TelemetryConfig::sampled(25);
-        let mut on = icn_sim::run_with_sink(on_config, MemorySink::new());
+        let mut engine = Engine::new(on_config);
+        engine.set_event_sink(MemorySink::new());
+        let mut on = engine.run();
         assert!(on.telemetry.is_some());
         on.telemetry = None;
         assert_eq!(
@@ -178,7 +182,9 @@ fn profiler_is_observational_deterministic_and_reconciles() {
 #[test]
 fn event_counts_reconcile_with_result_totals() {
     let sink = MemorySink::new();
-    let result = icn_sim::run_with_sink(faulty_config(5), sink.clone());
+    let mut engine = Engine::new(faulty_config(5));
+    engine.set_event_sink(sink.clone());
+    let result = engine.run();
     let counts = sink.counts_by_kind();
     let count = |kind: &str| counts.get(kind).copied().unwrap_or(0);
     assert_eq!(count("inject"), result.injected_total);
