@@ -1,28 +1,17 @@
-//! Benchmark harness crate — all content lives in `benches/`.
+//! Performance harnesses behind `icn bench`.
 //!
-//! One criterion bench group per paper artifact plus the simulator and
-//! ablation benches:
+//! * [`perf`] — the simulator regression gate: a fixed case list
+//!   (`smoke_256`, the 256-port CI smoke case, and `dmc2048_w4_load2`,
+//!   the §6 paper-scale network), simulated cycles per wall-clock second,
+//!   the `BENCH_PR3.json` baseline format, and a >25%-regression check.
+//!   `icn bench --overhead` times the same cases with the profiler on
+//!   against off.
+//! * [`loadgen`] — drives a live `icn-serve` instance with a concurrent
+//!   mixed HTTP workload for `icn bench --serve` (latency percentiles +
+//!   crash-recovery timing).
 //!
-//! | bench | regenerates |
-//! |---|---|
-//! | `table2_pins` | Table 2 (pins per chip) |
-//! | `table3_area` | Table 3 (largest single-chip crossbar) |
-//! | `table_delay` | the "Time Through Network" table |
-//! | `fig2_blocking` | Figure 2 (Patel recurrence sweep) |
-//! | `example2048` | the §6 design pipeline + design-space exploration |
-//! | `topology` | Figure 1-style construction, routing, permutation checks |
-//! | `sim_throughput` | cycle-level simulator across network sizes |
-//! | `ablations` | buffering / pass-through / arbitration variants |
-//! | `roundtrip` | closed-loop round trips + mesh chip transits |
-//!
-//! Run with `cargo bench --workspace` (or `-p icn-bench --bench <name>`).
-//!
-//! Besides the criterion benches, the [`perf`] module carries the
-//! perf-regression harness the `icn bench` command and CI use: fixed
-//! cases, cycles/sec measurements, and the `BENCH_PR3.json` baseline
-//! format with a >25%-regression gate. The [`loadgen`] module drives a
-//! live `icn-serve` instance with a concurrent mixed HTTP workload for
-//! `icn bench --serve` (latency percentiles + crash-recovery timing).
+//! Both measure the code paths the experiments and the service run —
+//! there is no separate bench-only path to drift.
 
 #![warn(missing_docs)]
 

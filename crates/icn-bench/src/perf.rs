@@ -1,15 +1,14 @@
 //! The perf-regression harness behind `icn bench`.
 //!
-//! Criterion (see `benches/sim_throughput.rs`) explores; this module
-//! *guards*: it measures simulated cycles per wall-clock second for a
-//! fixed case list, records baselines in `BENCH_PR3.json`, and fails CI
-//! when throughput regresses by more than [`REGRESSION_TOLERANCE`].
+//! It measures simulated cycles per wall-clock second for a fixed case
+//! list, records baselines in `BENCH_PR3.json`, and fails CI when
+//! throughput regresses by more than [`REGRESSION_TOLERANCE`].
 //!
-//! The case list mirrors the criterion `sim_throughput` group: the §6
-//! paper-scale 2048-port W=4 DMC network under moderate uniform load,
-//! plus a 256-port smoke case small enough for a CI gate. Both run the
-//! exact [`Engine::run`] loop the experiments use — no special bench
-//! path, so a regression here is a regression everywhere.
+//! The cases: the §6 paper-scale 2048-port W=4 DMC network under
+//! moderate uniform load, plus a 256-port smoke case small enough for a
+//! CI gate. Both run the exact [`Engine::run`] loop the experiments use —
+//! no special bench path, so a regression here is a regression
+//! everywhere.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
