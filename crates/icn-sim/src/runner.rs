@@ -48,9 +48,9 @@ pub fn run_trace(config: SimConfig, trace: &icn_workloads::TrafficTrace) -> SimR
     Engine::new(config).run_trace(trace)
 }
 
-/// Run many configurations concurrently, one shard of a [`WorkerPool`]
-/// per configuration up to the machine's parallelism, preserving input
-/// order in the output.
+/// Run many configurations concurrently on a [`WorkerPool`] with one
+/// shard per available core (at most one per configuration), preserving
+/// input order in the output.
 ///
 /// Simulations are embarrassingly parallel (each engine owns its state and
 /// RNG), so each job writes only its own result slot — no shared mutable

@@ -8,7 +8,8 @@
 //! `tests/fixtures/parity/`. The fixtures were captured from the
 //! pre-optimization engine, so an exact match proves the optimized hot
 //! path changed no observable behaviour: not a counter, not a float, not
-//! an event, not an event's order.
+//! an event, not an event's order. The trace-replay fixtures were
+//! captured from replay's former private loop in the same way.
 //!
 //! The matrix deliberately crosses the engine's behavioural switches:
 //! chip model, width, cut-through vs store-and-forward, arbitration,

@@ -6,6 +6,8 @@
 //! The fixtures were captured from the engine *before* the hot-path
 //! optimization (arena packet store, precomputed routes, scratch-buffer
 //! reuse), so these tests prove the optimization changed no behaviour.
+//! The two trace-replay fixtures (`trace_*`) were captured while replay
+//! still ran its own loop, before it moved onto the engine's run loop.
 //! If a test fails after an *intentional* semantic change, regenerate
 //! with `cargo run --release -p icn-sim --example gen_parity` and review
 //! the fixture diff line by line.
